@@ -184,6 +184,9 @@ type Outcome struct {
 	Viable   bool
 	Quality  float64
 	Explored int // number of options estimated
+	// Fallback names why the rewriter answered with the no-rewrite baseline
+	// instead of deciding (FallbackOptionCount); empty when it decided.
+	Fallback string
 }
 
 // Outcome returns the episode result; only valid after termination.

@@ -75,6 +75,10 @@ func (r NaiveRewriter) Rewrite(ctx *QueryContext, budget float64) Outcome {
 	}
 }
 
+// FallbackOptionCount is Outcome.Fallback when a query's option count differs
+// from the one the agent was trained for.
+const FallbackOptionCount = "option_count"
+
 // MDPRewriter wraps a trained agent with an environment configuration: the
 // Maliva rewriter proper (§5.2).
 type MDPRewriter struct {
@@ -99,10 +103,13 @@ func (r *MDPRewriter) Name() string {
 // agent (the forward pass would panic mid-request). Such queries degrade
 // to the no-rewrite baseline: correct and budget-accounted, just
 // unoptimized. Serving binaries train on 3-predicate workloads, so this is
-// the path 1/2-predicate frontend requests take.
+// the path 1/2-predicate frontend requests take. The outcome's Fallback
+// field records it, so serving layers can count it.
 func (r *MDPRewriter) Rewrite(ctx *QueryContext, budget float64) Outcome {
 	if r.Agent.NumOpts != len(ctx.Options) {
-		return BaselineRewriter{}.Rewrite(ctx, budget)
+		out := BaselineRewriter{}.Rewrite(ctx, budget)
+		out.Fallback = FallbackOptionCount
+		return out
 	}
 	env := NewEnv(EnvConfig{Budget: budget, QTE: r.QTE, Beta: r.betaOrDefault(), InitialCostJitter: r.Jitter}, ctx)
 	return r.Agent.Rewrite(env)

@@ -22,7 +22,7 @@ func TestBaselineRewriter(t *testing.T) {
 // TestMDPRewriterOptionSpaceMismatch: a policy trained for one option-space
 // shape must not crash on a query with a different option count (a frontend
 // request with fewer predicates than the training workload) — it degrades
-// to the no-rewrite baseline instead.
+// to the no-rewrite baseline instead, and labels the outcome as a fallback.
 func TestMDPRewriterOptionSpaceMismatch(t *testing.T) {
 	agent := NewAgent(fastAgentConfig(), 4) // trained shape: |Ω| = 4
 	ctx := synthContext([]float64{300, 100}, [][]int{{0}, {1}})
@@ -31,6 +31,7 @@ func TestMDPRewriterOptionSpaceMismatch(t *testing.T) {
 	rw := &MDPRewriter{Agent: agent, QTE: &stubQTE{UnitMs: 10, BaseMs: 5}}
 	out := rw.Rewrite(ctx, 500) // |Ω| = 2: must not panic
 	want := BaselineRewriter{}.Rewrite(ctx, 500)
+	want.Fallback = FallbackOptionCount
 	if out != want {
 		t.Errorf("mismatched option space: outcome = %+v, want baseline %+v", out, want)
 	}

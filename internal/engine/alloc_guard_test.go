@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -193,5 +195,87 @@ func TestAllocGuardTrueSelectivity(t *testing.T) {
 	})
 	if sel <= 0 {
 		t.Fatalf("selectivity %v, want > 0", sel)
+	}
+}
+
+// TestAllocGuardExecutorSeqScan: a forced sequential scan binds its
+// predicates into pooled scratch and filters through the pooled selection
+// vector, so its steady state is what escapes: the Result and its one-row
+// RowIDs and Points.
+func TestAllocGuardExecutorSeqScan(t *testing.T) {
+	db := buildTestDB(t, 8_000, 5)
+	v := db.Table("events").Col("val").Floats[42]
+	q := &Query{Table: "events", OutputCols: []string{"loc"}, Preds: []Predicate{
+		{Col: "loc", Kind: PredGeo, Box: Rect{MinLon: 0, MinLat: 0, MaxLon: 100, MaxLat: 50}},
+		{Col: "val", Kind: PredRange, Lo: v, Hi: v},
+	}}
+	hint := ForcedHint(nil, JoinAuto)
+	guardAllocs(t, "SeqScan", 3, func() {
+		if _, _, err := db.Run(q, hint); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// bytesPerRun returns the heap bytes fn allocates per call in steady state,
+// measured like testing.AllocsPerRun: after a warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestAllocGuardPostingSort: sorting index scan output must reuse pooled
+// bitmap scratch. A bitmap allocated per call costs span/8 bytes, more than
+// the result itself on these fixtures, so Index.Lookup and RTree.Search may
+// allocate only what the unsorted scan allocates, plus a quarter of one
+// bitmap for a pool emptied by garbage collection during the measurement.
+func TestAllocGuardPostingSort(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	const n = 100_000
+	rng := rand.New(rand.NewSource(23))
+	keys := make([]float64, n)
+	pts := make([]Point, n)
+	rows := make([]uint32, n)
+	for i := range rows {
+		keys[i] = rng.Float64() * 1e6
+		pts[i] = Point{Lon: rng.Float64() * 100, Lat: rng.Float64() * 50}
+		rows[i] = uint32(i)
+	}
+	bt := &Index{Col: "k", Kind: IndexBTree, btree: NewBTree(keys, rows)}
+	rt := NewRTree(pts, rows)
+	rangePred := Predicate{Col: "k", Kind: PredRange, Lo: 4e5, Hi: 4.2e5}
+	box := Rect{MinLon: 30, MinLat: 10, MaxLon: 35, MaxLat: 15}
+	var entries int
+	for _, tc := range []struct {
+		name        string
+		sorted, raw func() []uint32
+	}{
+		{"Index.Lookup(btree)",
+			func() []uint32 { r, _, _ := bt.Lookup(rangePred); return r },
+			func() []uint32 { r, _ := bt.btree.Range(rangePred.Lo, rangePred.Hi); return r }},
+		{"RTree.Search",
+			func() []uint32 { r, _ := rt.Search(box); return r },
+			func() []uint32 { return rt.root.search(box, nil, &entries) }},
+	} {
+		out := tc.sorted()
+		lo, hi := slices.Min(out), slices.Max(out)
+		if !useBitmapSort(len(out), lo, hi) {
+			t.Fatalf("%s: fixture (%d rows over ids %d..%d) does not take the bitmap path", tc.name, len(out), lo, hi)
+		}
+		bitmapBytes := float64((hi-lo)/64+1) * 8
+		sorted := bytesPerRun(50, func() { tc.sorted() })
+		raw := bytesPerRun(50, func() { tc.raw() })
+		if sorted > raw+bitmapBytes/4 {
+			t.Errorf("%s: %.0f B/op, unsorted scan %.0f B/op: the %.0f-byte bitmap is not pooled", tc.name, sorted, raw, bitmapBytes)
+		}
 	}
 }

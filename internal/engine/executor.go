@@ -88,7 +88,13 @@ type execContext struct {
 	accA  []uint32
 	accB  []uint32
 	cand  []uint32
+	sel   []uint32 // one scan chunk's selection vector
 	resv  []uint32 // reservoir slots (ApproxReservoir)
+	// Predicates bound to their column slices once per execution: preds
+	// for the main table, joinPreds for the join's inner table. They point
+	// into table data, so putExecContext clears them.
+	preds     []boundPred
+	joinPreds []boundPred
 	// Join scratch: the hash-join key set and the merge-join sort buffer.
 	// Both hold no pointers, so keeping them across executions pins at most
 	// the footprint of the largest join seen, not any table data.
@@ -157,6 +163,10 @@ func putExecContext(ec *execContext) {
 		ec.lists[i] = nil
 	}
 	ec.lists = ec.lists[:0]
+	clear(ec.preds)
+	ec.preds = ec.preds[:0]
+	clear(ec.joinPreds)
+	ec.joinPreds = ec.joinPreds[:0]
 	ec.cur = Cursor{}
 	ecPool.Put(ec)
 }
@@ -343,6 +353,7 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	if q.Join != nil {
 		earlyLimit = 0 // join may reject rows; cannot stop early here
 	}
+	ec.preds = bindPreds(ec.preds[:0], t, q.Preds)
 	if len(positions) == 0 {
 		return ec.seqScan(earlyLimit), nil
 	}
@@ -388,68 +399,115 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	// the keep decision comes before the fetch, so the virtual cost of the
 	// fetch+residual phase scales with the sampling rate (the posting-list
 	// work above is already paid — it is the cheap part of the plan).
+	// PredEvals charges each evaluated conjunct, so the residuals keep
+	// query order: the short-circuit point is part of the accounting.
+	resid := ec.preds[:0]
+	for i, b := range ec.preds {
+		if usedMask&(1<<uint(i)) == 0 {
+			resid = append(resid, b)
+		}
+	}
 	out := ec.cand[:0]
-	for _, r := range acc {
-		ec.maybeYield()
-		if ec.sampling && !keepRow(ec.keepSeed, r, ec.keepThresh) {
-			continue
-		}
-		ec.stats.RowsFetched++
-		ok := true
-		for i, p := range q.Preds {
-			if usedMask&(1<<uint(i)) != 0 {
-				continue
+	for start := 0; start < len(acc); start += scanChunk {
+		chunk := acc[start:min(start+scanChunk, len(acc))]
+		sel := ec.keepListed(chunk)
+		ec.stats.RowsFetched += len(sel)
+		sel = ec.filterSel(resid, sel, true)
+		if earlyLimit > 0 && len(out)+len(sel) >= earlyLimit {
+			sel = sel[:earlyLimit-len(out)]
+			out = append(out, sel...)
+			// A row-at-a-time fetch stops at the row that reaches the
+			// limit: take back the work charged for the rows after it.
+			last, _ := slices.BinarySearch(chunk, sel[len(sel)-1])
+			for _, r := range chunk[last+1:] {
+				if !ec.sampling || keepRow(ec.keepSeed, r, ec.keepThresh) {
+					ec.stats.RowsFetched--
+					ec.stats.PredEvals -= evalsUntilReject(resid, r)
+				}
 			}
-			ec.stats.PredEvals++
-			if !p.Eval(t, r) {
-				ok = false
-				break
-			}
+			ec.res.Truncated = true
+			break
 		}
-		if ok {
-			out = append(out, r)
-			if earlyLimit > 0 && len(out) >= earlyLimit {
-				ec.res.Truncated = true
-				break
-			}
-		}
+		out = append(out, sel...)
 	}
 	ec.cand = out
 	return out, nil
 }
 
+// scanChunk is how many rows a scan filters per selection vector: 4 KiB of
+// row ids, which stays in L1 while every conjunct passes over it.
+const scanChunk = 1024
+
 // seqScan scans the whole table, evaluating all predicates per row. The
-// returned slice aliases pooled scratch memory.
+// returned slice aliases pooled scratch memory. RowsScanned charges rows,
+// not conjuncts, so the conjuncts run cheapest first, a chunk at a time.
 func (ec *execContext) seqScan(earlyLimit int) []uint32 {
-	q, t := ec.q, ec.t
+	orderByCost(ec.preds)
 	out := ec.cand[:0]
-	for r := 0; r < t.Rows; r++ {
-		ec.maybeYield()
-		// Row sampling skips before the per-row cost accrues: the virtual
-		// clock treats the sample as a block-sampled scan whose cost is
-		// Rate × the full scan, which is what makes "approximate now" fit
-		// budgets the exact scan blows.
-		if ec.sampling && !keepRow(ec.keepSeed, uint32(r), ec.keepThresh) {
-			continue
+	for start := 0; start < ec.t.Rows; start += scanChunk {
+		end := min(start+scanChunk, ec.t.Rows)
+		sel := ec.keepRange(start, end, ec.sampling)
+		ec.stats.RowsScanned += len(sel)
+		sel = ec.filterSel(ec.preds, sel, false)
+		if earlyLimit > 0 && len(out)+len(sel) >= earlyLimit {
+			sel = sel[:earlyLimit-len(out)]
+			out = append(out, sel...)
+			// A row-at-a-time scan stops at the row that reaches the
+			// limit: take back the charge for the kept rows after it.
+			ec.stats.RowsScanned -= len(ec.keepRange(int(sel[len(sel)-1])+1, end, ec.sampling))
+			ec.res.Truncated = true
+			break
 		}
-		ec.stats.RowsScanned++
-		ok := true
-		for _, p := range q.Preds {
-			if !p.Eval(t, uint32(r)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, uint32(r))
-			if earlyLimit > 0 && len(out) >= earlyLimit {
-				ec.res.Truncated = true
-				break
-			}
-		}
+		out = append(out, sel...)
 	}
 	ec.cand = out
 	return out
+}
+
+// keepRange loads the rows of [start, end) that row sampling keeps (all of
+// them unless sample is set) into the selection vector, which the next load
+// overwrites. Sampling drops a row before its per-row cost accrues: the
+// virtual clock treats the sample as a block-sampled scan whose cost is
+// Rate × the full scan, which is what makes "approximate now" fit budgets
+// the exact scan blows.
+func (ec *execContext) keepRange(start, end int, sample bool) []uint32 {
+	sel := ec.sel[:0]
+	for r := start; r < end; r++ {
+		ec.maybeYield()
+		if !sample || keepRow(ec.keepSeed, uint32(r), ec.keepThresh) {
+			sel = append(sel, uint32(r))
+		}
+	}
+	ec.sel = sel
+	return sel
+}
+
+// keepListed is keepRange over a list of rows, sampled when the execution
+// samples.
+func (ec *execContext) keepListed(rows []uint32) []uint32 {
+	sel := ec.sel[:0]
+	for _, r := range rows {
+		ec.maybeYield()
+		if !ec.sampling || keepRow(ec.keepSeed, r, ec.keepThresh) {
+			sel = append(sel, r)
+		}
+	}
+	ec.sel = sel
+	return sel
+}
+
+// filterSel narrows sel in place to the rows every conjunct accepts, one
+// conjunct at a time. With countEvals it charges PredEvals exactly as a
+// short-circuiting row-at-a-time loop would: each conjunct once per row the
+// conjuncts before it accepted.
+func (ec *execContext) filterSel(preds []boundPred, sel []uint32, countEvals bool) []uint32 {
+	for i := range preds {
+		if countEvals {
+			ec.stats.PredEvals += len(sel)
+		}
+		sel = preds[i].filter(sel)
+	}
+	return sel
 }
 
 // join matches candidate left rows against the inner table and emits
@@ -461,6 +519,7 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		return fmt.Errorf("engine: unknown join table %q", q.Join.Table)
 	}
 	leftKeys := t.Col(q.Join.LeftCol)
+	ec.joinPreds = bindPreds(ec.joinPreds[:0], inner, q.Join.Preds)
 	if method == JoinAuto {
 		method = NestLoopJoin
 	}
@@ -477,7 +536,7 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		for _, lr := range candidates {
 			ec.maybeYield()
 			ec.stats.NestProbes++
-			if ec.probeInner(inner, leftKeys.NumericAt(lr), lr) {
+			if ec.probeInner(leftKeys.NumericAt(lr), lr) {
 				if ec.limitReached() {
 					return nil
 				}
@@ -488,26 +547,22 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		// know whether any qualifying inner row carries the key, so the table
 		// is a pooled key set rather than per-key row lists — the join path
 		// stays allocation-free across executions (stats are unchanged, so
-		// the virtual cost model is too).
+		// the virtual cost model is too). The build charges RowsScanned and
+		// HashBuilds per row, so its conjuncts run cheapest first.
+		orderByCost(ec.joinPreds)
 		if ec.ht == nil {
 			ec.ht = make(map[float64]struct{})
 		} else {
 			clear(ec.ht)
 		}
 		innerKeys := inner.Col(q.Join.RightCol)
-		for r := 0; r < inner.Rows; r++ {
-			ec.maybeYield()
-			ec.stats.RowsScanned++
-			pass := true
-			for _, p := range q.Join.Preds {
-				if !p.Eval(inner, uint32(r)) {
-					pass = false
-					break
-				}
-			}
-			if pass {
-				ec.stats.HashBuilds++
-				ec.ht[innerKeys.NumericAt(uint32(r))] = struct{}{}
+		for start := 0; start < inner.Rows; start += scanChunk {
+			sel := ec.keepRange(start, min(start+scanChunk, inner.Rows), false)
+			ec.stats.RowsScanned += len(sel)
+			sel = ec.filterSel(ec.joinPreds, sel, false)
+			ec.stats.HashBuilds += len(sel)
+			for _, r := range sel {
+				ec.ht[innerKeys.NumericAt(r)] = struct{}{}
 			}
 		}
 		for _, lr := range candidates {
@@ -553,7 +608,7 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		ec.cur.Reset(ix.btree)
 		for _, l := range left {
 			ec.maybeYield()
-			if ec.probeInner(inner, l.key, l.row) {
+			if ec.probeInner(l.key, l.row) {
 				if ec.limitReached() {
 					return nil
 				}
@@ -571,8 +626,9 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 // after a qualifying row — the per-probe slot walk is what IndexEntries
 // charges, and it must match what a materializing Range scan reported —
 // but predicate evaluation stops at the first pass, exactly like the old
-// slice-based match loop. Returns whether the left row was emitted.
-func (ec *execContext) probeInner(inner *Table, key float64, leftRow uint32) bool {
+// slice-based match loop. PredEvals charges each evaluated conjunct, so they
+// run in query order. Returns whether the left row was emitted.
+func (ec *execContext) probeInner(key float64, leftRow uint32) bool {
 	ec.cur.Seek(key)
 	emitted := false
 	for {
@@ -584,9 +640,9 @@ func (ec *execContext) probeInner(inner *Table, key float64, leftRow uint32) boo
 			continue
 		}
 		pass := true
-		for _, p := range ec.q.Join.Preds {
+		for i := range ec.joinPreds {
 			ec.stats.PredEvals++
-			if !p.Eval(inner, ir) {
+			if !ec.joinPreds[i].eval(ir) {
 				pass = false
 				break
 			}

@@ -343,6 +343,11 @@ type Ingestor struct {
 	ewmaGap time.Duration
 	closed  bool
 
+	// flushMu serializes flushes: a Flush that finds the buffer empty
+	// (Close's final flush, a sync ack) returns only after a concurrent
+	// flush that took the rows has applied them.
+	flushMu sync.Mutex
+
 	onFlush atomic.Pointer[func(FlushStats)]
 
 	rowsIn  atomic.Int64
@@ -464,6 +469,8 @@ func (in *Ingestor) delay() time.Duration {
 // Flush applies the pending buffer now (a no-op returning the current
 // version when nothing is pending) and returns the resulting data version.
 func (in *Ingestor) Flush() (uint64, error) {
+	in.flushMu.Lock()
+	defer in.flushMu.Unlock()
 	in.mu.Lock()
 	b := in.pending
 	in.pending = nil

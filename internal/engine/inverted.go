@@ -1,5 +1,11 @@
 package engine
 
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
+
 // InvertedIndex maps word ids to sorted posting lists of row ids, the access
 // path behind "Content contains <keyword>" predicates.
 type InvertedIndex struct {
@@ -82,4 +88,77 @@ func intersectSortedInto(dst, a, b []uint32) (out []uint32, work int) {
 		}
 	}
 	return out, work
+}
+
+// Posting sort. B-tree range scans return row ids in key order and R-tree
+// searches in tree order, but every posting-list consumer (intersection, the
+// residual fetch, reservoir sampling) needs ascending row ids. A bitmap over
+// the result's id span sorts in O(n + span/64) where a comparison sort pays
+// O(n log n), so it wins whenever the result is not much sparser than its
+// span, which index scans over a table usually are not.
+const (
+	// bitmapSortMinRows: smaller results comparison-sort, which is cheap
+	// at that size.
+	bitmapSortMinRows = 64
+	// bitmapSortMaxWordsPerRow bounds the span: a result sparser than one
+	// row per this many 64-bit words comparison-sorts instead.
+	bitmapSortMaxWordsPerRow = 8
+)
+
+// bitmapPool recycles sortPostings' bitmaps. A pooled bitmap is all zero;
+// its length tracks the largest id span sorted so far.
+var bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// useBitmapSort reports whether sortPostings takes the bitmap path for n
+// rows spanning ids [lo, hi].
+func useBitmapSort(n int, lo, hi uint32) bool {
+	return n >= bitmapSortMinRows && int((hi-lo)>>6)+1 <= bitmapSortMaxWordsPerRow*n
+}
+
+// sortPostings sorts row ids ascending in place, with the same result as
+// slices.Sort. The bitmap path needs unique ids, which every index yields;
+// a duplicate falls back to slices.Sort rather than being dropped.
+func sortPostings(rows []uint32) {
+	if len(rows) < bitmapSortMinRows {
+		slices.Sort(rows)
+		return
+	}
+	lo, hi := rows[0], rows[0]
+	for _, r := range rows[1:] {
+		lo = min(lo, r)
+		hi = max(hi, r)
+	}
+	if !useBitmapSort(len(rows), lo, hi) {
+		slices.Sort(rows)
+		return
+	}
+	words := int((hi-lo)>>6) + 1
+	bp := bitmapPool.Get().(*[]uint64)
+	if cap(*bp) < words {
+		*bp = make([]uint64, words)
+	}
+	bm := (*bp)[:words]
+	defer bitmapPool.Put(bp)
+	for _, r := range rows {
+		off := r - lo
+		w, bit := off>>6, uint64(1)<<(off&63)
+		if bm[w]&bit != 0 {
+			clear(bm)
+			slices.Sort(rows)
+			return
+		}
+		bm[w] |= bit
+	}
+	i := 0
+	for w, word := range bm {
+		if word == 0 {
+			continue
+		}
+		bm[w] = 0
+		base := lo + uint32(w)<<6
+		for ; word != 0; word &= word - 1 {
+			rows[i] = base + uint32(bits.TrailingZeros64(word))
+			i++
+		}
+	}
 }

@@ -253,29 +253,32 @@ func (n *rtreeNode) splitInternal() *rtreeNode {
 	return right
 }
 
-// Search returns row ids of points inside box, plus the number of node
-// entries examined (for costing).
+// Search returns row ids of points inside box in ascending order, plus the
+// number of node entries examined (for costing).
 func (t *RTree) Search(box Rect) (rows []uint32, entries int) {
-	var walk func(n *rtreeNode)
-	walk = func(n *rtreeNode) {
-		entries++
-		if !n.box.Intersects(box) {
-			return
-		}
-		if n.leaf {
-			for i, p := range n.points {
-				entries++
-				if box.Contains(p) {
-					rows = append(rows, n.rows[i])
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	rows = t.root.search(box, rows, &entries)
+	sortPostings(rows)
 	return rows, entries
+}
+
+// search appends the rows of n's subtree whose points lie inside box, in
+// tree order, counting every node and leaf entry it examines.
+func (n *rtreeNode) search(box Rect, rows []uint32, entries *int) []uint32 {
+	*entries++
+	if !n.box.Intersects(box) {
+		return rows
+	}
+	if n.leaf {
+		*entries += len(n.points)
+		for i, p := range n.points {
+			if box.Contains(p) {
+				rows = append(rows, n.rows[i])
+			}
+		}
+		return rows
+	}
+	for _, c := range n.children {
+		rows = c.search(box, rows, entries)
+	}
+	return rows
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +57,7 @@ func (ix *Index) Lookup(p Predicate) (rows []uint32, entries int, err error) {
 		rows, entries = ix.btree.Range(p.Lo, p.Hi)
 		// Range returns rows in key order; posting-list consumers
 		// (intersection) require row-id order, like a bitmap index scan.
-		slices.Sort(rows)
+		sortPostings(rows)
 		return rows, entries, nil
 	case IndexRTree:
 		if p.Kind != PredGeo {

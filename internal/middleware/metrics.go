@@ -127,6 +127,8 @@ type Metrics struct {
 
 	latency      latencyHist
 	flushLatency latencyHist // ApplyBatch wall time per flush
+
+	fallbackOptionCount atomic.Int64 // rewrite decisions answered with the baseline (core.FallbackOptionCount)
 }
 
 // notePanic records one recovered panic under the given handler label.
@@ -191,6 +193,11 @@ type MetricsSnapshot struct {
 	QueueDepthLive     int `json:"queue_depth_live"`
 	QueueDepthPrefetch int `json:"queue_depth_prefetch"`
 
+	// RewriterFallbackOptionCount counts rewrite decisions (one per plan
+	// and budget) the rewriter answered with the no-rewrite baseline
+	// because the query's option count differs from its agent's.
+	RewriterFallbackOptionCount int64 `json:"rewriter_fallback_option_count"`
+
 	BudgetViolations    int64   `json:"budget_violations"`
 	BudgetViolationRate float64 `json:"budget_violation_rate"`
 	ApproxServed        int64   `json:"approx_served"`
@@ -247,6 +254,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PrefetchShed:     m.prefetchShed.Load(),
 		PrefetchComputed: m.prefetchComputed.Load(),
 		PrefetchHits:     m.prefetchHits.Load(),
+
+		RewriterFallbackOptionCount: m.fallbackOptionCount.Load(),
 
 		BudgetViolations: m.budgetViolations.Load(),
 		ApproxServed:     m.approxServed.Load(),
@@ -314,6 +323,7 @@ func (m *Metrics) WritePrometheusLabeled(w io.Writer, label string) {
 	p(`prefetch_hits_total`, float64(s.PrefetchHits))
 	p(`prefetch_shed_total`, float64(s.PrefetchShed))
 	p(`prefetch_computed_total`, float64(s.PrefetchComputed))
+	p(`rewriter_fallback_total{reason="option_count"}`, float64(s.RewriterFallbackOptionCount))
 	p(`budget_violations_total`, float64(s.BudgetViolations))
 	p(`budget_violation_rate`, s.BudgetViolationRate)
 	p(`approx_served_total`, float64(s.ApproxServed))

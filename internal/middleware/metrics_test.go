@@ -2,9 +2,12 @@ package middleware
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/maliva/maliva/internal/core"
 )
 
 // TestLatencyHistQuantiles: the exponential-bucket estimator lands within
@@ -87,5 +90,52 @@ func TestMetricsSnapshotRates(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)
 		}
+	}
+}
+
+// TestRewriterFallbackCounter: the MDP rewriter's silent baseline fallback
+// (a query whose option count differs from the agent's) is counted once per
+// rewrite decision, in the JSON snapshot and as a labeled Prometheus series,
+// and the counted responses are byte-identical to the baseline rewriter's.
+func TestRewriterFallbackCounter(t *testing.T) {
+	ds := testDataset(t)
+	space := core.HintOnlySpec()
+	agent := core.NewAgent(core.DefaultAgentConfig(), 8) // 3-predicate hint space
+	mdp, err := NewServer(ds, &core.MDPRewriter{Agent: agent}, space, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewServer(ds, core.BaselineRewriter{}, space, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoPred := validRequest()
+	twoPred.Keyword = "" // time + region: |Ω| = 4
+	for i, budget := range []float64{500, 500, 1000} {
+		twoPred.BudgetMs = budget
+		got, err := mdp.Handle(twoPred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := base.Handle(twoPred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("request %d: fallback response differs from the baseline rewriter's", i)
+		}
+	}
+	if got := mdp.Metrics().Snapshot().RewriterFallbackOptionCount; got != 2 {
+		t.Errorf("fallbacks = %d, want 2 (one per distinct budget decision)", got)
+	}
+	var buf bytes.Buffer
+	mdp.Metrics().WritePrometheusLabeled(&buf, `dataset="twitter"`)
+	if want := `maliva_rewriter_fallback_total{dataset="twitter",reason="option_count"} 2`; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q:\n%s", want, buf.String())
+	}
+	if got := base.Metrics().Snapshot().RewriterFallbackOptionCount; got != 0 {
+		t.Errorf("baseline rewriter fallbacks = %d, want 0", got)
 	}
 }

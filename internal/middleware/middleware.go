@@ -614,7 +614,11 @@ func (s *Server) plan(req Request, count, background bool) (planned, error) {
 	p.out = entry.outcome(p.budget, func() core.Outcome {
 		s.rewriteMu.Lock()
 		defer s.rewriteMu.Unlock()
-		return s.Rewriter.Rewrite(ctx, p.budget)
+		out := s.Rewriter.Rewrite(ctx, p.budget)
+		if out.Fallback == core.FallbackOptionCount {
+			s.metrics.fallbackOptionCount.Add(1)
+		}
+		return out
 	})
 
 	p.rq, p.hint = q, engine.Hint{}
